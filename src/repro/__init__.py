@@ -53,7 +53,6 @@ from repro.api import (
     make_engine,
     progress_printer,
     run_multiprocess,
-    run_sharded,
     set_campaign_defaults,
     set_default_progress,
     simulate_good,
@@ -101,7 +100,6 @@ __all__ = [
     "make_engine",
     "progress_printer",
     "run_multiprocess",
-    "run_sharded",
     "set_campaign_defaults",
     "set_default_progress",
     "simulate_good",

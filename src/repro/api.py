@@ -24,7 +24,7 @@ from repro.sim.eraser_codegen import (  # re-export
     EraserCodegenEngine,
     EraserCodegenSimulator,
 )
-from repro.sim.kernel import CycleDriver, EXECUTORS, run_sharded  # re-export
+from repro.sim.kernel import CycleDriver, EXECUTORS  # re-export
 from repro.sim.packed import PackedCodegenEngine, PackedCodegenSimulator  # re-export
 from repro.sim.chaos import ChaosPlan, ChaosRule  # re-export
 from repro.sim.parallel import (  # re-export
@@ -71,7 +71,6 @@ __all__ = [
     "make_engine",
     "progress_printer",
     "run_multiprocess",
-    "run_sharded",
     "set_campaign_defaults",
     "set_default_progress",
     "simulate_good",

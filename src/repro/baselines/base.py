@@ -10,7 +10,6 @@ observed.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Optional
 
@@ -43,12 +42,11 @@ class SerialFaultSimulator:
 
     ``executor`` selects how the per-fault loop is distributed (see
     :data:`repro.sim.kernel.EXECUTORS`): ``"serial"`` (default) is the
-    classic one-fault-at-a-time loop in this process, ``"thread"`` shards the
-    fault list over a thread pool of clones of this simulator, and
-    ``"process"`` re-runs the same serial per-fault semantics inside spawned
-    worker processes (the kernel is reconstructed per worker from the
-    design's compile provenance).  ``workers`` bounds the pool; verdicts are
-    executor-independent.
+    classic one-fault-at-a-time loop in this process, and ``"process"``
+    re-runs the same serial per-fault semantics inside spawned worker
+    processes through :func:`repro.sim.parallel.run_multiprocess` (the kernel
+    is reconstructed per worker from the design's compile provenance).
+    ``workers`` bounds the pool; verdicts are executor-independent.
     """
 
     #: Subclasses set the reported simulator name.
@@ -102,11 +100,11 @@ class SerialFaultSimulator:
     def run(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
         """Fault-simulate every fault in ``faults`` (per-fault re-simulation).
 
-        With ``executor="thread"`` or ``"process"`` the loop is distributed;
-        the per-fault semantics (and therefore every verdict and detection
-        cycle) are unchanged.
+        With ``executor="process"`` the loop is distributed; the per-fault
+        semantics (and therefore every verdict and detection cycle) are
+        unchanged.
         """
-        if self.executor != "serial" and len(faults) > 1:
+        if self.executor == "process" and len(faults) > 1:
             return self._run_distributed(stimulus, faults)
         stimulus.validate(self.design)
         start = time.perf_counter()
@@ -123,24 +121,7 @@ class SerialFaultSimulator:
         return FaultSimResult(self.name, coverage, wall, self.stats)
 
     def _run_distributed(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
-        """Fan the per-fault loop out over the selected executor."""
-        from repro.sim.kernel import run_sharded
-
-        if self.executor == "thread":
-            early_exit, engine = self.early_exit, self.engine
-
-            def factory(design: Design) -> "SerialFaultSimulator":
-                return type(self)(design, early_exit=early_exit, engine=engine)
-
-            return run_sharded(
-                self.design,
-                stimulus,
-                faults,
-                workers=self.workers or (os.cpu_count() or 2),
-                simulator_factory=factory,
-                max_workers=self.workers,
-                executor="thread",
-            )
+        """Fan the per-fault loop out over spawned worker processes."""
         engine = self.engine or self.serial_engine
         if engine is None:
             raise SimulationError(

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="pool bound for --executor thread/process (default: cpu count)",
+        help="worker-process bound for --executor process (default: cpu count)",
     )
     parser.add_argument(
         "--progress",

@@ -17,7 +17,6 @@ regardless of the absolute scale.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
@@ -84,14 +83,13 @@ class ExperimentWorkload(NamedTuple):
     #: name); resolved from the registry spec unless overridden.
     engine: str = "codegen"
     #: Campaign executor for :meth:`run_faults` (``repro.api.EXECUTORS``
-    #: name): ``serial`` = one process, ``thread`` = GIL-bound shards,
-    #: ``process`` = multi-core packed words.
+    #: name): ``serial`` = inline in this process, ``process`` = multi-core
+    #: packed words.
     executor: str = "serial"
-    #: Pool bound for the thread/process executors (``None``: cpu count).
+    #: Pool bound for the process executor (``None``: cpu count).
     workers: Optional[int] = None
-    #: Campaign resilience knobs for the process executor (``None``: inherit
-    #: the session defaults installed with
-    #: :func:`repro.sim.parallel.set_campaign_defaults`); see
+    #: Campaign resilience knobs (``None``: inherit the session defaults
+    #: installed with :func:`repro.sim.parallel.set_campaign_defaults`); see
     #: ``docs/resilience.md``.
     retries: Optional[object] = None
     chunk_timeout: Optional[float] = None
@@ -120,97 +118,47 @@ class ExperimentWorkload(NamedTuple):
     def run_faults(self, width: Optional[int] = None, early_exit: bool = True):
         """Run the packed fault campaign through the selected executor.
 
-        Verdicts are executor-independent; only wall-clock changes.  ``width``
-        is the PPSFP fault-word width (default: the packed simulator's).  The
-        process executor inherits the session-wide progress callback installed
-        with :func:`repro.sim.parallel.set_default_progress` (the harness
-        ``--progress`` flag), so streaming needs no plumbing here.
+        One :func:`repro.sim.parallel.run_multiprocess` call serves every
+        executor: ``serial`` runs it inline (``workers=1``), ``process`` over
+        ``workers`` spawned processes.  Verdicts are executor-independent;
+        only wall-clock changes.  ``width`` is the PPSFP fault-word width
+        (default: the packed simulator's).  ``engine == "auto"`` hands the
+        campaign an ``("auto", {})`` runner, resolved once against the full
+        fault list.  Knobs left ``None`` — and the progress callback
+        installed with :func:`repro.sim.parallel.set_default_progress` (the
+        harness ``--progress`` flag) — inherit the session defaults.
         """
         from repro.errors import UnknownOptionError
         from repro.sim.kernel import EXECUTORS
-        from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator
+        from repro.sim.packed import DEFAULT_WORD_WIDTH
+        from repro.sim.parallel import WorkloadSpec, run_multiprocess
 
         if self.executor not in EXECUTORS:
             raise UnknownOptionError.for_option("executor", self.executor, EXECUTORS)
-        width = width or DEFAULT_WORD_WIDTH
-        if self.executor == "process":
-            from repro.sim.parallel import WorkloadSpec, run_multiprocess
-
-            resilience = {
-                name: value
-                for name, value in (
-                    ("retries", self.retries),
-                    ("chunk_timeout", self.chunk_timeout),
-                    ("checkpoint", self.checkpoint),
-                    ("checkpoint_interval", self.checkpoint_interval),
-                    ("chaos", self.chaos),
-                    ("cache", self.cache),
-                    ("cache_mode", self.cache_mode),
-                )
-                if value is not None  # None: inherit the session defaults
-            }
-            return run_multiprocess(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=self.workers,
-                width=width,
-                early_exit=early_exit,
-                spec=WorkloadSpec.from_benchmark(self.name),
-                **resilience,
+        knobs = {
+            name: value
+            for name, value in (
+                ("retries", self.retries),
+                ("chunk_timeout", self.chunk_timeout),
+                ("checkpoint", self.checkpoint),
+                ("checkpoint_interval", self.checkpoint_interval),
+                ("chaos", self.chaos),
+                ("cache", self.cache),
+                ("cache_mode", self.cache_mode),
             )
-        if self.executor == "serial" and self.cache is not None:
-            # the cache seam lives in the campaign layer; an explicitly-cached
-            # serial workload routes through its workers=1 short-circuit (an
-            # inline run with no pool) so verdict reuse works on every executor
-            from repro.sim.parallel import run_multiprocess
-
-            return run_multiprocess(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=1,
-                width=width,
-                early_exit=early_exit,
-                cache=self.cache,
-                **({"cache_mode": self.cache_mode} if self.cache_mode is not None else {}),
-            )
-        if self.executor == "thread":
-            from repro.sim.kernel import run_sharded
-            from repro.sim.packed import make_packed_factory
-
-            return run_sharded(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=self.workers or (os.cpu_count() or 2),
-                simulator_factory=make_packed_factory(width, early_exit),
-                word_size=width,
-                max_workers=self.workers,
-                executor="thread",
-            )
-        if self.engine == "auto":
-            # the campaign-level half of the auto policy: the documented
-            # table picks the lane substrate from fault count x activity x
-            # stride, and the packed driver gets the mid-word survivor
-            # re-pack hook (the policy's last row)
-            from repro.sim.emitter import resolve_engine
-
-            resolved = resolve_engine(self.design, fault_count=len(self.faults))
-            if resolved == "packed-numpy":
-                from repro.sim.vector import DEFAULT_VECTOR_WIDTH, VectorFaultSimulator
-
-                return VectorFaultSimulator(
-                    self.design,
-                    width=width if width != DEFAULT_WORD_WIDTH else DEFAULT_VECTOR_WIDTH,
-                    early_exit=early_exit,
-                ).run(self.stimulus, self.faults)
-            return PackedCodegenSimulator(
-                self.design, width=width, early_exit=early_exit, repack=True
-            ).run(self.stimulus, self.faults)
-        return PackedCodegenSimulator(
-            self.design, width=width, early_exit=early_exit
-        ).run(self.stimulus, self.faults)
+            if value is not None  # None: inherit the session defaults
+        }
+        return run_multiprocess(
+            self.design,
+            self.stimulus,
+            self.faults,
+            workers=1 if self.executor == "serial" else self.workers,
+            width=width or DEFAULT_WORD_WIDTH,
+            early_exit=early_exit,
+            spec=WorkloadSpec.from_benchmark(self.name),
+            runner=("auto", {}) if self.engine == "auto" else None,
+            **knobs,
+        )
 
 
 def prepare_workload(
@@ -236,13 +184,12 @@ def prepare_workload(
     makes :meth:`ExperimentWorkload.run_faults` pick the campaign substrate
     from the documented policy and enable survivor re-packing); ``executor``
     and ``workers`` select how :meth:`ExperimentWorkload.run_faults`
-    distributes the fault campaign (``"serial"``, ``"thread"`` or
-    ``"process"``).  The resilience knobs (``retries``, ``chunk_timeout``,
-    ``checkpoint``, ``checkpoint_interval``, ``chaos``) and the result-cache
-    knobs (``cache``, ``cache_mode``) are forwarded to
-    :func:`repro.sim.parallel.run_multiprocess` by the process executor (a
-    cached *serial* workload routes through its inline ``workers=1`` path);
-    ``None`` inherits the session defaults (see ``docs/resilience.md`` and
+    distributes the fault campaign (``"serial"`` or ``"process"``).  The
+    resilience knobs (``retries``, ``chunk_timeout``, ``checkpoint``,
+    ``checkpoint_interval``, ``chaos``) and the result-cache knobs
+    (``cache``, ``cache_mode``) are forwarded to
+    :func:`repro.sim.parallel.run_multiprocess` on either executor; ``None``
+    inherits the session defaults (see ``docs/resilience.md`` and
     ``docs/caching.md``).
     """
     if executor is not None:

@@ -50,9 +50,9 @@ def run_benchmark(
     (``None`` keeps their defining kernels: IFsim = event-driven, VFsim =
     compiled; ``"codegen"`` and ``"packed"`` select the generated-code
     kernels).  ``executor``/``workers`` distribute the serial baselines'
-    per-fault loops (``"thread"`` or ``"process"``, see
-    :data:`repro.api.EXECUTORS`).  ``eraser_engine`` selects the concurrent
-    kernel the Eraser row runs on (``"interp"`` or ``"codegen"``, see
+    per-fault loops (``"process"``, see :data:`repro.api.EXECUTORS`).
+    ``eraser_engine`` selects the concurrent kernel the Eraser row runs on
+    (``"interp"`` or ``"codegen"``, see
     :data:`repro.core.framework.ERASER_ENGINES`).  Verdicts are engine- and
     executor-independent, so the agreement check keeps its meaning either
     way; only the timing columns change.
@@ -162,7 +162,7 @@ def run(
     ``engine`` forwards to :func:`run_benchmark`: it swaps the kernel under
     the serial baselines (e.g. ``engine="codegen"`` re-times IFsim/VFsim on
     the generated-code kernel).  ``executor``/``workers`` distribute those
-    baselines' per-fault loops over a thread or process pool.
+    baselines' per-fault loops over a process pool.
     ``eraser_engine="codegen"`` re-times the Eraser row on the generated
     concurrent kernel.
     """

@@ -27,13 +27,7 @@ concurrent (batched) fault simulator built on top of this substrate in
 from repro.sim.engine import EventDrivenEngine, SimulationTrace
 from repro.sim.codegen import CodegenEngine, PackedLayout
 from repro.sim.compiled import CompiledEngine
-from repro.sim.kernel import (
-    CycleDriver,
-    EXECUTORS,
-    SimulationKernel,
-    partition_faults,
-    run_sharded,
-)
+from repro.sim.kernel import CycleDriver, EXECUTORS, SimulationKernel
 from repro.sim.packed import PackedCodegenEngine, PackedCodegenSimulator
 from repro.sim.parallel import ParallelFaultSimulator, WorkloadSpec, run_multiprocess
 from repro.sim.stimulus import RandomStimulus, Stimulus, VectorStimulus
@@ -59,7 +53,5 @@ __all__ = [
     "Stimulus",
     "VectorStimulus",
     "WorkloadSpec",
-    "partition_faults",
     "run_multiprocess",
-    "run_sharded",
 ]

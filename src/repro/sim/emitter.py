@@ -500,9 +500,7 @@ def resolve_engine(
         stride=packed_stride(design),
         numpy_available=numpy_available,
     )
-    if engine == "packed-numpy" and any(
-        signal.is_memory and signal.width > 64 for signal in design.signals
-    ):
+    if engine == "packed-numpy" and not vector_capable(design):
         return "packed"
     return engine
 

@@ -1,9 +1,13 @@
-"""Process-pool fault campaigns over packed fault words.
+"""Fault campaigns: the one runner behind every executor and seam.
 
-:func:`run_sharded` partitions a fault list word-aligned, but its thread pool
-is serialized by the GIL: pure-Python simulation never ran faster on more
-cores.  This module turns that partition seam into real wall-clock scaling by
-fanning packed fault words out over a ``ProcessPoolExecutor``:
+:func:`run_multiprocess` is the only fault-campaign runner in the package:
+the ``serial`` executor runs it inline (``workers=1``, no pool), the
+``process`` executor fans packed fault words out over a
+``ProcessPoolExecutor`` — real wall-clock scaling, which a thread pool cannot
+give GIL-bound pure-Python kernels.
+``SerialFaultSimulator(executor="process")``,
+``ExperimentWorkload.run_faults`` and :class:`ParallelFaultSimulator` each
+reach it with one call.  The pieces:
 
 * :class:`WorkloadSpec` — a picklable recipe for re-opening the *identical*
   (design, stimulus) pair inside a worker process: a benchmark registry name,
@@ -13,7 +17,7 @@ fanning packed fault words out over a ``ProcessPoolExecutor``:
   milliseconds) and hydrates the generated packed kernel from the shared
   on-disk codegen cache (source + bytecode sidecar), so cold workers warm up
   for roughly the cost of an import.
-* :func:`run_multiprocess` — the campaign executor: chunks the fault list into
+* :func:`run_multiprocess` — the campaign runner: chunks the fault list into
   word-aligned slices, oversubscribes the pool (~4 chunks per worker by
   default) so fast words never leave a core idle, and merges verdicts through
   a shared-memory :class:`~repro.sim.verdict_plane.VerdictPlane` that workers
@@ -77,14 +81,19 @@ safe on every platform the CI matrix covers (macOS defaults to it, fork is
 unsound under threads), and the disk cache makes the usual spawn penalty —
 re-importing and re-deriving everything — a non-issue here.
 
-Where POSIX shared memory is unavailable (``VerdictPlane.create`` raising
-``OSError``), the campaign falls back transparently to the original
-pickled-dict merge: verdicts stay exact, only streaming granularity and
-cross-chunk dropping degrade.
+Every campaign keeps its verdicts in one plane, and every path — inline,
+pooled, quarantined — marks each completed chunk's returned detections into
+it, so progress, salvage, checkpoints and the final verdicts all read the
+same bytes.  Where POSIX shared memory is unavailable (``VerdictPlane.create``
+raising ``OSError``), the plane is process-local
+(:meth:`~repro.sim.verdict_plane.VerdictPlane.local`): workers cannot attach,
+so verdicts reach it only as chunks complete.  They stay exact; only
+streaming granularity and cross-chunk dropping degrade.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import pickle
@@ -92,11 +101,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, TextIO, Tuple
 
 from repro.errors import SimulationError, UnknownOptionError
 from repro.ir.design import Design
-from repro.sim.chaos import LEGACY_CRASH_ENV_VAR, ChaosPlan
+from repro.sim.chaos import ChaosPlan
 from repro.sim.codegen import design_fingerprint
 from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator, pack_fault_words
 from repro.sim.result_cache import CACHE_MODES, DEFAULT_CACHE_MODE, ResultCache, stimulus_hash
@@ -129,12 +138,6 @@ DEFAULT_DROP_STRIDE = 32
 #: Seconds between streaming progress events while chunk futures are in
 #: flight (only consulted when an ``on_progress`` callback is installed).
 DEFAULT_PROGRESS_INTERVAL = 0.5
-
-#: Legacy fault-injection hook, kept as an alias: an integer N crashes any
-#: chunk whose global base fault index is >= N.  Superseded by the structured
-#: chaos plans in :mod:`repro.sim.chaos` (``REPRO_PARALLEL_CHAOS``); the
-#: legacy variable still works, mapped to a one-rule crash plan.
-CRASH_ENV_VAR = LEGACY_CRASH_ENV_VAR
 
 #: Default retry budget: submissions after the first attempt a failed chunk
 #: may consume before it is quarantined (or, with ``degrade=False``, failed).
@@ -196,13 +199,21 @@ def _resolve_knob(name: str, value: object) -> object:
 
 #: One stuck-at fault as it crosses the process boundary: (signal name, bit,
 #: stuck-at value).  Names are the stable cross-process identity — fault ids
-#: are re-assigned densely inside each worker, exactly as in thread sharding.
+#: are re-assigned densely inside each worker.
 FaultSite = Tuple[str, int, int]
 
 #: What a worker should run over its chunk: ``("packed", {width, early_exit})``,
 #: ``("vector", {width, early_exit})`` (the NumPy lane backend — word sizes of
 #: 512-4096 faults are reasonable there) or ``("serial", {engine, early_exit})``.
+#: Callers may also pass ``("auto", {...})``, which :func:`run_multiprocess`
+#: resolves to packed or vector before anything runs.
 RunnerSpec = Tuple[str, Dict[str, object]]
+
+#: The runner kinds a worker can build.
+_RUNNER_KINDS = ("packed", "vector", "serial")
+
+#: Result labels of the lane runners; other kinds report ``<kind>-MP``.
+_RUNNER_LABELS = {"packed": "PackedPPSFP-MP", "vector": "VectorPPSFP-MP"}
 
 
 class WorkloadSpec:
@@ -454,32 +465,17 @@ def make_campaign_runner(
     drop_hook: Optional[Callable[[List[int]], List[int]]] = None,
     drop_stride: int = 0,
 ):
-    """Instantiate the fault simulator a :data:`RunnerSpec` describes.
+    """Instantiate the fault simulator a concrete :data:`RunnerSpec` describes.
 
     ``on_detect``/``drop_hook``/``drop_stride`` wire the packed and vector
     runners into the shared verdict plane (streaming detection writes plus
     word-fill and mid-run drop consults).  The serial baselines have no lane
-    hooks — for them the chunk-start filter and the idempotent post-run
-    re-mark in :func:`_run_chunk` provide the same campaign semantics, so the
-    hooks are accepted and ignored here.
-
-    The ``auto`` kind resolves the documented policy
-    (:func:`repro.sim.emitter.resolve_engine`) against this worker's design
-    and chunk: vector lanes at high fault counts (NumPy permitting), packed
-    words with survivor re-packing otherwise.
+    hooks — for them the chunk-start filter in :func:`_run_chunk` and the
+    parent's marking of every returned detection provide the same campaign
+    semantics, so the hooks are accepted and ignored here.  ``"auto"`` specs
+    never reach this function: :func:`run_multiprocess` resolves them first.
     """
     kind, options = runner
-    if kind == "auto":
-        from repro.sim.emitter import resolve_engine
-
-        fault_count = int(options.get("fault_count", 0))
-        resolved = resolve_engine(design, fault_count=fault_count)
-        if resolved == "packed-numpy":
-            kind = "vector"
-        else:
-            kind = "packed"
-            options = dict(options)
-            options.setdefault("repack", True)
     if kind == "packed":
         return PackedCodegenSimulator(
             design,
@@ -509,9 +505,7 @@ def make_campaign_runner(
             early_exit=bool(options.get("early_exit", True)),
             engine=str(options["engine"]),
         )
-    raise UnknownOptionError.for_option(
-        "campaign runner kind", kind, ("packed", "vector", "serial", "auto")
-    )
+    raise UnknownOptionError.for_option("campaign runner kind", kind, _RUNNER_KINDS)
 
 
 def _materialize_faults(design: Design, sites: Sequence[FaultSite]):
@@ -542,7 +536,8 @@ def _run_chunk(
     filtered at start against the global detection flags — re-packing the
     survivors is verdict-safe because lanes are independent — and the runner
     gets word-fill/mid-run drop hooks plus a streaming ``on_detect`` writer.
-    Returns ``(detections by fault name, simulated cycles)``.
+    Returns ``(detection cycle by global fault index, simulated cycles)``;
+    the campaign parent marks those detections into its plane.
     """
     gmap = list(range(base, base + len(faults)))
     if plane is not None and cross_drop:
@@ -585,14 +580,8 @@ def _run_chunk(
         drop_stride=drop_stride if cross_drop else 0,
     )
     result = simulator.run(stimulus, faults)
-    detections = dict(result.coverage.detections)
-    if plane is not None and detections:
-        # serial runners have no on_detect seam; re-marking is idempotent
-        # (detection cycles are deterministic, so duplicate marks write the
-        # same bytes), and it makes every runner kind plane-complete
-        global_index = {fault.name: gmap[fault.fault_id] for fault in faults}
-        for name, cycle in detections.items():
-            mark(global_index[name], cycle)
+    global_index = {fault.name: gmap[fault.fault_id] for fault in faults}
+    detections = {global_index[name]: cycle for name, cycle in result.coverage.detections.items()}
     return detections, result.stats.cycles
 
 
@@ -605,7 +594,7 @@ def _simulate_chunk(
     chunk_index: int = 0,
     attempt: int = 0,
     chaos: Optional[ChaosPlan] = None,
-) -> Tuple[Dict[str, int], int, float]:
+) -> Tuple[Dict[int, int], int, float]:
     """Worker task: fault-simulate one word-aligned chunk.
 
     ``base`` is the chunk's first global fault index; ``chunk_index`` and
@@ -613,9 +602,10 @@ def _simulate_chunk(
     the parent resolves once and ships with every task so attempt-aware
     triggers see the supervisor's counters.  Detections stream into the
     worker's attached verdict plane as they happen; the returned
-    ``(detections by fault name, simulated cycles, wall seconds)`` tuple —
-    small, plain and picklable — doubles as the merge payload where shared
-    memory is unavailable and feeds the supervisor's adaptive watchdog.
+    ``(detections by global fault index, simulated cycles, wall seconds)``
+    tuple — small, plain and picklable — is what the parent marks into its
+    plane (the only way verdicts reach a process-local plane) and feeds the
+    supervisor's adaptive watchdog.
     """
     begin = time.perf_counter()
     if chaos is not None:
@@ -672,22 +662,77 @@ def chunk_fault_sites(
     return sites
 
 
-def _merge_chunk_verdicts(merged: Dict[str, int], chunk: Dict[str, int]) -> None:
-    """Merge one chunk's verdicts, asserting chunk-disjointness.
+def _merge_chunk_verdicts(plane: VerdictPlane, merged: Set[int], chunk: Dict[int, int]) -> None:
+    """Mark one chunk's returned verdicts into the plane, asserting disjointness.
 
-    ``dict.update`` would silently keep the *last* writer on a duplicate
-    fault name; duplicates can only mean the chunking produced overlapping
-    chunks (or a worker simulated the wrong slice), which must surface as an
-    error, not a quietly-wrong cycle.
+    This is the one path by which a completed chunk's verdicts reach the
+    campaign plane, whether or not its worker could attach to it: marks are
+    idempotent (detection cycles are deterministic, so a worker that already
+    streamed into a shared plane wrote the same bytes).  A fault returned by
+    two chunks can only mean the chunking produced overlapping chunks (or a
+    worker simulated the wrong slice), which must surface as an error, not a
+    quietly-wrong cycle.
     """
-    overlap = merged.keys() & chunk.keys()
+    overlap = merged.intersection(chunk)
     if overlap:
-        shown = ", ".join(sorted(overlap)[:3])
+        shown = ", ".join(str(index) for index in sorted(overlap)[:3])
         raise SimulationError(
-            f"chunk verdicts overlap on {len(overlap)} fault(s) ({shown}...); "
-            "chunks must partition the fault list"
+            f"chunk verdicts overlap on {len(overlap)} fault(s) (global "
+            f"indexes {shown}...); chunks must partition the fault list"
         )
     merged.update(chunk)
+    mark = plane.mark
+    for index, cycle in chunk.items():
+        mark(index, cycle)
+
+
+def _resolve_runner(
+    design: Design,
+    runner: Optional[RunnerSpec],
+    width: int,
+    early_exit: bool,
+    fault_count: int,
+) -> Tuple[RunnerSpec, int]:
+    """The campaign's concrete runner spec and its lane-word size.
+
+    ``None`` is the packed runner at ``width``/``early_exit``.  An
+    ``("auto", {...})`` spec resolves the documented policy
+    (:func:`repro.sim.emitter.resolve_engine`) against ``fault_count`` — the
+    campaign's full fault list, before any cache lookup — to vector lanes
+    when it picks ``packed-numpy``, packed words with survivor re-packing
+    otherwise.  Resolving once, in the parent, means chunking, the result
+    label, cold and warm cache replays and quarantine degradation all see
+    the same substrate.  The word size is the chunking grain: the runner's
+    lane-word width (for the vector runner the array lane count), or 1 for
+    the one-fault-at-a-time serial runner.
+    """
+    if runner is None:
+        return ("packed", {"width": width, "early_exit": early_exit}), width
+    kind, options = runner
+    if kind == "auto":
+        from repro.sim.emitter import resolve_engine
+
+        options = dict(options)
+        options.setdefault("early_exit", early_exit)
+        if resolve_engine(design, fault_count=fault_count) == "packed-numpy":
+            from repro.sim.vector import DEFAULT_VECTOR_WIDTH
+
+            options.setdefault("width", DEFAULT_VECTOR_WIDTH)
+            options.pop("repack", None)
+            kind = "vector"
+        else:
+            options.setdefault("width", width)
+            options.setdefault("repack", True)
+            kind = "packed"
+    if kind == "packed":
+        return (kind, options), int(options.get("width", DEFAULT_WORD_WIDTH))
+    if kind == "vector":
+        from repro.sim.vector import DEFAULT_VECTOR_WIDTH
+
+        return (kind, options), int(options.get("width", DEFAULT_VECTOR_WIDTH))
+    if kind == "serial":
+        return (kind, options), 1
+    raise UnknownOptionError.for_option("campaign runner kind", kind, _RUNNER_KINDS + ("auto",))
 
 
 def run_multiprocess(
@@ -707,7 +752,6 @@ def run_multiprocess(
     drop_stride: int = DEFAULT_DROP_STRIDE,
     resume_from: Optional[Dict[str, int]] = None,
     plane: Optional[VerdictPlane] = None,
-    shared_verdicts: bool = True,
     salvage: bool = True,
     retries=_UNSET,
     chunk_timeout=_UNSET,
@@ -718,7 +762,7 @@ def run_multiprocess(
     cache=_UNSET,
     cache_mode=_UNSET,
 ) -> "FaultSimResult":
-    """Fault-simulate ``faults`` across a pool of worker *processes*.
+    """Fault-simulate ``faults`` inline or across a pool of worker *processes*.
 
     The fault list is cut into word-aligned chunks (``~oversubscribe`` chunks
     per worker, so fast words do not idle a core behind a slow one) and each
@@ -733,20 +777,22 @@ def run_multiprocess(
     inferred from the design's compile provenance (see
     :meth:`WorkloadSpec.from_design`).  ``runner`` overrides what each worker
     runs over its chunk (default: the packed simulator at ``width`` /
-    ``early_exit``); an ``("auto", {...})`` spec is resolved in the parent
-    through :func:`repro.sim.emitter.resolve_engine` against the campaign's
-    full fault count — vector lanes when the policy picks ``packed-numpy``,
-    packed words with survivor re-packing otherwise.  ``workers=None`` uses ``os.cpu_count()``; a resolved
-    pool of one short-circuits to an inline run with no pool at all (still
-    honoring the plane, dropping, resume and progress parameters).
+    ``early_exit``); an ``("auto", {...})`` spec is resolved once, in the
+    parent, against the campaign's full fault count (see
+    :func:`_resolve_runner`).  ``label`` names the result (default: the
+    resolved runner's, e.g. ``PackedPPSFP-MP``).  ``workers=None`` uses
+    ``os.cpu_count()``; a resolved pool of one runs the campaign inline with
+    no pool at all (still honoring the plane, dropping, resume, checkpoint,
+    cache and progress parameters).
 
     Campaign-level parameters (see the module docstring for the design):
 
     * ``on_progress`` — a :class:`CampaignProgress` callback: one event at
       submission, one per poll wake-up / chunk completion while futures are
       in flight, and exactly one ``final=True`` event.  Detected counts are
-      monotonically non-decreasing.  Defaults to the process-wide callback
-      installed via :func:`set_default_progress`, if any.
+      monotonically non-decreasing and include cached verdicts.  Defaults to
+      the process-wide callback installed via :func:`set_default_progress`,
+      if any.
     * ``cross_drop`` / ``drop_stride`` — cross-chunk fault dropping against
       the shared plane (chunk-start, word-fill and every ``drop_stride``
       cycles mid-run).  Never changes a verdict or cycle.
@@ -757,11 +803,6 @@ def run_multiprocess(
     * ``plane`` — an externally created :class:`VerdictPlane` sized to this
       fault list, letting concurrent campaigns share verdicts; the caller
       keeps ownership (this function will not unlink it).
-    * ``shared_verdicts=False`` — force the legacy pickled-dict merge path
-      (also the automatic fallback where shared memory is unavailable).
-      Retry still works there — nothing is partially recorded for a failed
-      chunk, so a retried chunk re-returns its complete verdict dict — but
-      proven-chunk skipping and checkpoints need the plane.
     * ``salvage`` — when a chunk still cannot be finished after supervision
       is exhausted, return the verdicts accumulated so far as a
       ``FaultSimResult(partial=True)`` instead of raising.
@@ -806,43 +847,10 @@ def run_multiprocess(
     """
     from repro.core.stats import SimulationStats
     from repro.fault.coverage import FaultCoverageReport
+    from repro.fault.faultlist import FaultList
+    from repro.fault.model import StuckAtFault
     from repro.fault.result import FaultSimResult
 
-    cache = _resolve_knob("cache", cache)
-    cache_mode = _resolve_knob("cache_mode", cache_mode)
-    if cache_mode not in CACHE_MODES:
-        raise UnknownOptionError.for_option("cache_mode", cache_mode, CACHE_MODES)
-    store = ResultCache.coerce(cache)
-    if store is not None and cache_mode != "off" and len(faults) and plane is None:
-        return _run_cached(
-            store,
-            cache_mode,
-            design,
-            stimulus,
-            faults,
-            dict(
-                workers=workers,
-                width=width,
-                early_exit=early_exit,
-                spec=spec,
-                oversubscribe=oversubscribe,
-                runner=runner,
-                label=label,
-                on_progress=on_progress,
-                progress_interval=progress_interval,
-                cross_drop=cross_drop,
-                drop_stride=drop_stride,
-                resume_from=resume_from,
-                shared_verdicts=shared_verdicts,
-                salvage=salvage,
-                retries=retries,
-                chunk_timeout=chunk_timeout,
-                checkpoint=checkpoint,
-                checkpoint_interval=checkpoint_interval,
-                chaos=chaos,
-                degrade=degrade,
-            ),
-        )
     design.check_finalized()
     stimulus.validate(design)
     retries = _resolve_knob("retries", retries)
@@ -851,6 +859,10 @@ def run_multiprocess(
     checkpoint_interval = _resolve_knob("checkpoint_interval", checkpoint_interval)
     chaos = _resolve_knob("chaos", chaos)
     degrade = bool(_resolve_knob("degrade", degrade))
+    cache_mode = _resolve_knob("cache_mode", cache_mode)
+    if cache_mode not in CACHE_MODES:
+        raise UnknownOptionError.for_option("cache_mode", cache_mode, CACHE_MODES)
+    store = ResultCache.coerce(_resolve_knob("cache", cache))
     # fail on bad knobs here, naming the argument — not deep in the pool loop
     if workers is not None:
         require_at_least("workers", workers, 1)
@@ -865,60 +877,42 @@ def run_multiprocess(
     chaos_plan = ChaosPlan.coerce(chaos)
     if chaos_plan is None:
         chaos_plan = ChaosPlan.from_environment()
-    if checkpoint is not None and not shared_verdicts:
-        raise SimulationError(
-            "checkpoint= requires shared_verdicts=True: checkpoints are "
-            "snapshots of the shared verdict plane"
-        )
-    if runner is None:
-        runner = ("packed", {"width": width, "early_exit": early_exit})
-    if runner[0] == "auto":
-        # resolve the policy HERE, in the parent, so chunking / labels /
-        # degradation all see the concrete substrate (workers would otherwise
-        # each re-resolve against a chunk-local fault count)
-        from repro.sim.emitter import resolve_engine
-
-        resolved = resolve_engine(design, fault_count=len(faults))
-        options = dict(runner[1])
-        options.pop("fault_count", None)
-        if resolved == "packed-numpy":
-            from repro.sim.vector import DEFAULT_VECTOR_WIDTH
-
-            options.setdefault("width", DEFAULT_VECTOR_WIDTH)
-            options.pop("repack", None)
-            runner = ("vector", options)
-        else:
-            options.setdefault("width", width)
-            options.setdefault("repack", True)
-            runner = ("packed", options)
+    runner, word_size = _resolve_runner(design, runner, width, early_exit, len(faults))
     if label is None:
-        if runner[0] == "packed":
-            label = "PackedPPSFP-MP"
-        elif runner[0] == "vector":
-            label = "VectorPPSFP-MP"
-        else:
-            label = f"{runner[0]}-MP"
+        label = _RUNNER_LABELS.get(runner[0], f"{runner[0]}-MP")
     if on_progress is None:
         on_progress = _DEFAULT_PROGRESS[0]
-    # word-aligned chunking: the chunk size is the runner's lane-word width
-    # (for the vector runner that is the array lane count, e.g. 512-4096
-    # faults per chunk), so chunking never changes which faults share a word
-    if runner[0] == "packed":
-        word_size = int(runner[1].get("width", DEFAULT_WORD_WIDTH))
-    elif runner[0] == "vector":
-        from repro.sim.vector import DEFAULT_VECTOR_WIDTH
-
-        word_size = int(runner[1].get("width", DEFAULT_VECTOR_WIDTH))
-    else:
-        word_size = 1
-    work_units = math.ceil(len(faults) / max(1, word_size))
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, work_units))
-
     seeds: Dict[str, int] = dict(resume_from) if resume_from else {}
+    if seeds:
+        known = {fault.name for fault in faults}
+        unknown = sorted(name for name in seeds if name not in known)
+        if unknown:
+            raise SimulationError(
+                f"resume_from names faults not in this campaign: {unknown[:5]}"
+            )
+
+    # the result cache resolves what it can before anything is scheduled:
+    # only the delta (a fresh, densely re-numbered list) is simulated, so a
+    # fully-warm replay builds no plane, no chunks and no pool at all
+    campaign = faults
+    stats = SimulationStats()
+    use_cache = store is not None and cache_mode != "off" and plane is None and len(faults) > 0
+    cached: Dict[str, Optional[int]] = {}
+    if use_cache:
+        design_key = design_fingerprint(design)
+        stimulus_key = stimulus_hash(stimulus)
+        cached = store.lookup(design_key, stimulus_key, [f.name for f in faults])
+        if cached:
+            faults = FaultList(
+                [StuckAtFault(f.signal, f.bit, f.value) for f in faults if f.name not in cached]
+            )
+            seeds = {name: cycle for name, cycle in seeds.items() if name not in cached}
+        stats.cache_hits = len(cached)
+        stats.cache_misses = len(faults)
+    cached_detections = {name: cycle for name, cycle in cached.items() if cycle is not None}
+
     fingerprint: Optional[str] = None
-    if checkpoint is not None:
+    if checkpoint is not None and len(faults):
         fingerprint = campaign_fingerprint(design, faults)
         if os.path.exists(checkpoint):
             snapshot = VerdictPlane.load(checkpoint, expect_fingerprint=fingerprint)
@@ -927,43 +921,36 @@ def run_multiprocess(
                     seeds.setdefault(name, seed_cycle)
             finally:
                 snapshot.close()
-    index_by_name: Dict[str, int] = {}
-    if seeds:
-        index_by_name = {fault.name: i for i, fault in enumerate(faults)}
-        unknown = sorted(name for name in seeds if name not in index_by_name)
-        if unknown:
-            raise SimulationError(
-                f"resume_from names faults not in this campaign: {unknown[:5]}"
-            )
-    owned_plane = False
+    work_units = math.ceil(len(faults) / max(1, word_size))
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, min(workers, work_units))
+
+    owned_plane = plane is None
     if plane is not None:
         if plane.n_faults != len(faults):
             raise SimulationError(
                 f"verdict plane is sized for {plane.n_faults} faults but the "
                 f"campaign has {len(faults)}"
             )
-    elif shared_verdicts and len(faults):
+    elif len(faults):
         try:
             plane = VerdictPlane.create(len(faults))
-            owned_plane = True
         except OSError:
-            plane = None  # no POSIX shared memory here: pickled-dict fallback
-    if checkpoint is not None and plane is None and len(faults):
-        raise SimulationError(
-            "checkpoint= requires the shared verdict plane, which is "
-            "unavailable here (no POSIX shared memory)"
-        )
-    if plane is not None and seeds:
+            # no POSIX shared memory here: the parent keeps the plane and
+            # marks every returned chunk into it; workers cannot attach
+            plane = VerdictPlane.local(len(faults))
+    if seeds:
+        index_by_name = {fault.name: i for i, fault in enumerate(faults)}
         for name, seed_cycle in seeds.items():
             plane.seed(index_by_name[name], seed_cycle)
 
     start = time.perf_counter()
-    merged: Dict[str, int] = {}
+    merged: Set[int] = set()
     cycles = 0
     partial = False
     chunks_done = 0
-    chunks_total = 1
-    stats = SimulationStats()
+    chunks_total = 0
     last_checkpoint = start
     checkpoint_final = False
 
@@ -981,10 +968,9 @@ def run_multiprocess(
         if on_progress is None:
             return
         elapsed = time.perf_counter() - start
+        detected = len(cached_detections)
         if plane is not None:
-            detected = plane.detected_count()
-        else:
-            detected = len({**seeds, **merged})
+            detected += plane.detected_count()
         eta = None
         if not final and chunks_done:
             # clamped: a retried chunk can push elapsed past the naive
@@ -993,7 +979,7 @@ def run_multiprocess(
         on_progress(
             CampaignProgress(
                 detected=detected,
-                total=len(faults),
+                total=len(campaign),
                 chunks_done=chunks_done,
                 chunks_total=chunks_total,
                 elapsed=elapsed,
@@ -1004,17 +990,19 @@ def run_multiprocess(
         )
 
     try:
-        if workers == 1:
+        if plane is not None and workers == 1:
             # tiny campaigns and debugging skip pool startup entirely (the
             # plane still drives resume seeding, dropping, checkpoints and
-            # the final merge; chaos never fires in the parent process)
+            # the final verdicts; chaos never fires in the parent process)
+            chunks_total = 1
             emit()
-            merged, cycles = _run_chunk(
+            detections, cycles = _run_chunk(
                 design, stimulus, faults, runner, plane, 0, cross_drop, drop_stride
             )
+            _merge_chunk_verdicts(plane, merged, detections)
             chunks_done = 1
             stats.chunks_simulated = 1
-        else:
+        elif plane is not None:
             spec = (
                 spec if spec is not None else WorkloadSpec.from_design(design)
             ).with_stimulus(stimulus)
@@ -1026,8 +1014,7 @@ def run_multiprocess(
                 states.append(ChunkState(index, chunk, base))
                 base += len(chunk)
             emit()
-            drop = cross_drop and plane is not None
-            plane_name = plane.name if plane is not None else None
+            plane_name = plane.name if plane.shared else None
             ship_plan = chaos_plan if chaos_plan else None
 
             def make_pool() -> ProcessPoolExecutor:
@@ -1046,14 +1033,14 @@ def run_multiprocess(
                     state.sites,
                     runner,
                     state.base,
-                    drop,
+                    cross_drop,
                     drop_stride,
                     state.index,
                     state.attempts - 1,
                     ship_plan,
                 )
 
-            def run_inline(state: ChunkState) -> Tuple[Dict[str, int], int, float]:
+            def run_inline(state: ChunkState) -> Tuple[Dict[int, int], int, float]:
                 """Quarantine fallback: run the chunk in this process, no chaos."""
                 begin = time.perf_counter()
                 detections, chunk_cycles = _run_chunk(
@@ -1070,7 +1057,7 @@ def run_multiprocess(
 
             def chunk_proven(state: ChunkState) -> bool:
                 """Is every fault of this chunk already flagged on the plane?"""
-                if plane is None or not state.sites:
+                if not state.sites:
                     return False
                 flags = plane.detected_flags(state.base, len(state.sites))
                 return len(flags) == len(state.sites) and all(flags)
@@ -1079,11 +1066,11 @@ def run_multiprocess(
             last_emit = [start]
 
             def on_complete(
-                state: ChunkState, detections: Dict[str, int], chunk_cycles: int
+                state: ChunkState, detections: Dict[int, int], chunk_cycles: int
             ) -> None:
-                """Merge one resolved chunk into the campaign accumulators."""
+                """Merge one resolved chunk into the plane and the counters."""
                 nonlocal cycles, chunks_done
-                _merge_chunk_verdicts(merged, detections)
+                _merge_chunk_verdicts(plane, merged, detections)
                 cycles += chunk_cycles
                 chunks_done += 1
                 if state.outcome == "skipped":
@@ -1099,11 +1086,7 @@ def run_multiprocess(
                     chunk_event[0] = False
                     last_emit[0] = now
                     emit()
-                if (
-                    checkpoint is not None
-                    and plane is not None
-                    and now - last_checkpoint >= checkpoint_interval
-                ):
+                if checkpoint is not None and now - last_checkpoint >= checkpoint_interval:
                     save_checkpoint()
 
             supervisor = ChunkSupervisor(
@@ -1134,14 +1117,10 @@ def run_multiprocess(
                         f"discarded"
                     ) from failed[0].error
                 # every verdict written before the failures is still in the
-                # plane (or in the chunks that completed); salvage them
+                # plane (streamed, or marked from completed chunks); salvage
                 partial = True
         wall = time.perf_counter() - start
-        if plane is not None:
-            detections = plane.named_detections(faults)
-        else:
-            detections = dict(seeds)
-            detections.update(merged)
+        detections = plane.named_detections(faults) if plane is not None else {}
         save_checkpoint()
         checkpoint_final = True
         emit(final=True)
@@ -1153,129 +1132,38 @@ def run_multiprocess(
                 save_checkpoint()
             except Exception:  # pragma: no cover - snapshot is best-effort here
                 pass
-        if owned_plane:
+        if owned_plane and plane is not None:
             plane.close()
             plane.unlink()
 
+    if use_cache:
+        # write fresh verdicts back; proven-undetected faults only from a
+        # complete run, because a salvaged campaign cannot tell
+        # "undetected" from "never simulated"
+        fresh: Dict[str, Optional[int]] = {}
+        for fault in faults:
+            if fault.name in detections:
+                fresh[fault.name] = detections[fault.name]
+            elif not partial:
+                fresh[fault.name] = None
+        if cache_mode == "readwrite" and fresh:
+            wrote = store.store(
+                design_key,
+                stimulus_key,
+                fresh,
+                design_name=design.name,
+                clock=stimulus.clock,
+                cycles=stimulus.num_cycles(),
+            )
+            if wrote:
+                stats.cache_writes = len(fresh)
+        detections.update(cached_detections)
     coverage = FaultCoverageReport.from_named_detections(
-        design.name, faults, detections, simulator=label
+        design.name, campaign, detections, simulator=label
     )
     stats.cycles = cycles
     stats.time_total = wall
     return FaultSimResult(label, coverage, wall, stats, partial=partial)
-
-
-def _run_cached(
-    store: ResultCache,
-    mode: str,
-    design: Design,
-    stimulus: Stimulus,
-    faults: "FaultList",
-    campaign: Dict[str, object],
-) -> "FaultSimResult":
-    """Resolve a campaign against the result cache, then simulate only the delta.
-
-    ``campaign`` carries every remaining :func:`run_multiprocess` keyword.
-    Cached faults never reach the chunker: the campaign re-enters
-    :func:`run_multiprocess` (with the cache disarmed) over a *delta* fault
-    list that excludes every fault the shard already resolves — both
-    detections and proven-undetected entries — so a fully-warm replay builds
-    no chunks and spawns no pool at all.  Fresh verdicts are merged back into
-    the shard when ``mode`` is ``"readwrite"``; proven-undetected faults are
-    only written by complete (non-partial) runs, because a salvaged campaign
-    cannot distinguish "undetected" from "never simulated".
-    """
-    from repro.core.stats import SimulationStats
-    from repro.fault.coverage import FaultCoverageReport
-    from repro.fault.faultlist import FaultList
-    from repro.fault.model import StuckAtFault
-    from repro.fault.result import FaultSimResult
-
-    design.check_finalized()
-    stimulus.validate(design)
-    fingerprint = design_fingerprint(design)
-    stim_hash = stimulus_hash(stimulus)
-    names = [fault.name for fault in faults]
-    cached = store.lookup(fingerprint, stim_hash, names)
-    resume_from: Optional[Dict[str, int]] = campaign.pop("resume_from", None)  # type: ignore[assignment]
-    if resume_from:
-        known = set(names)
-        unknown = sorted(name for name in resume_from if name not in known)
-        if unknown:
-            raise SimulationError(
-                f"resume_from names faults not in this campaign: {unknown[:5]}"
-            )
-    if len(cached) == len(names):
-        # fully warm: every verdict (detected and proven-undetected alike)
-        # comes straight from the shard — zero chunks, zero processes
-        start = time.perf_counter()
-        detections = {name: cycle for name, cycle in cached.items() if cycle is not None}
-        stats = SimulationStats()
-        stats.cache_hits = len(cached)
-        label = campaign.get("label")
-        runner = campaign.get("runner")
-        if label is None:
-            kind = runner[0] if runner is not None else "packed"  # type: ignore[index]
-            label = {"packed": "PackedPPSFP-MP", "vector": "VectorPPSFP-MP"}.get(
-                kind, f"{kind}-MP"
-            )
-        on_progress = campaign.get("on_progress") or _DEFAULT_PROGRESS[0]
-        wall = time.perf_counter() - start
-        stats.time_total = wall
-        if on_progress is not None:
-            on_progress(
-                CampaignProgress(
-                    detected=len(detections),
-                    total=len(names),
-                    chunks_done=0,
-                    chunks_total=0,
-                    elapsed=wall,
-                    final=True,
-                )
-            )
-        coverage = FaultCoverageReport.from_named_detections(
-            design.name, faults, detections, simulator=label
-        )
-        return FaultSimResult(label, coverage, wall, stats)
-    delta = FaultList(
-        [StuckAtFault(f.signal, f.bit, f.value) for f in faults if f.name not in cached]
-    )
-    delta_names = {fault.name for fault in delta}
-    if resume_from:
-        seeds = {name: cycle for name, cycle in resume_from.items() if name in delta_names}
-        campaign["resume_from"] = seeds or None
-    else:
-        campaign["resume_from"] = None
-    result = run_multiprocess(design, stimulus, delta, cache=None, **campaign)
-    stats = result.stats
-    stats.cache_hits = len(cached)
-    stats.cache_misses = len(delta)
-    simulated = result.coverage.detections
-    fresh: Dict[str, Optional[int]] = {}
-    for fault in delta:
-        if fault.name in simulated:
-            fresh[fault.name] = simulated[fault.name]
-        elif not result.partial:
-            fresh[fault.name] = None
-    if mode == "readwrite" and fresh:
-        wrote = store.store(
-            fingerprint,
-            stim_hash,
-            fresh,
-            design_name=design.name,
-            clock=stimulus.clock,
-            cycles=stimulus.num_cycles(),
-        )
-        if wrote:
-            stats.cache_writes = len(fresh)
-    merged = {name: cycle for name, cycle in cached.items() if cycle is not None}
-    merged.update(simulated)
-    coverage = FaultCoverageReport.from_named_detections(
-        design.name, faults, merged, simulator=result.coverage.simulator
-    )
-    return FaultSimResult(
-        result.simulator, coverage, result.wall_time, stats, partial=result.partial
-    )
 
 
 class ParallelFaultSimulator:
@@ -1283,102 +1171,34 @@ class ParallelFaultSimulator:
 
     The class-shaped face of :func:`run_multiprocess`, interchangeable with
     :class:`~repro.sim.packed.PackedCodegenSimulator` and the serial
-    baselines.  ``spec`` may pre-select how workers re-open the design; by
-    default it is inferred from the design's compile provenance at run time.
-    The campaign-level parameters (``on_progress``, ``cross_drop`` /
-    ``drop_stride``, ``resume_from``, ``salvage``, ``shared_verdicts``) are
-    stored and forwarded verbatim — see :func:`run_multiprocess`.
+    baselines.  ``campaign`` holds any of :func:`run_multiprocess`'s
+    keywords (``workers``, ``width``, ``spec``, ``on_progress``,
+    ``resume_from``, the resilience and cache knobs, ...).  They are bound
+    against its signature here, so a misspelt knob fails at construction,
+    and forwarded verbatim by :meth:`run`.
     """
 
     name = "PackedPPSFP-MP"
 
-    def __init__(
-        self,
-        design: Design,
-        workers: Optional[int] = None,
-        width: int = DEFAULT_WORD_WIDTH,
-        early_exit: bool = True,
-        spec: Optional[WorkloadSpec] = None,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-        on_progress: Optional[Callable[[CampaignProgress], None]] = None,
-        progress_interval: float = DEFAULT_PROGRESS_INTERVAL,
-        cross_drop: bool = True,
-        drop_stride: int = DEFAULT_DROP_STRIDE,
-        resume_from: Optional[Dict[str, int]] = None,
-        shared_verdicts: bool = True,
-        salvage: bool = True,
-        retries=_UNSET,
-        chunk_timeout=_UNSET,
-        checkpoint=_UNSET,
-        checkpoint_interval=_UNSET,
-        chaos=_UNSET,
-        degrade=_UNSET,
-        cache=_UNSET,
-        cache_mode=_UNSET,
-    ) -> None:
+    def __init__(self, design: Design, **campaign: object) -> None:
         """Capture the campaign configuration; nothing runs until :meth:`run`."""
-        design.check_finalized()
-        if width < 1:
-            raise SimulationError(f"fault word width must be >= 1, got {width}")
-        self.design = design
-        self.workers = workers
-        self.width = width
-        self.early_exit = early_exit
-        self.spec = spec
-        self.oversubscribe = oversubscribe
-        self.on_progress = on_progress
-        self.progress_interval = progress_interval
-        self.cross_drop = cross_drop
-        self.drop_stride = drop_stride
-        self.resume_from = resume_from
-        self.shared_verdicts = shared_verdicts
-        self.salvage = salvage
-        self.retries = retries
-        self.chunk_timeout = chunk_timeout
-        self.checkpoint = checkpoint
-        self.checkpoint_interval = checkpoint_interval
-        self.chaos = chaos
-        self.degrade = degrade
-        self.cache = cache
-        self.cache_mode = cache_mode
         from repro.core.stats import SimulationStats
 
+        design.check_finalized()
+        inspect.signature(run_multiprocess).bind(design, None, None, **campaign)
+        require_at_least("width", campaign.get("width", DEFAULT_WORD_WIDTH), 1)
+        self.design = design
+        self.campaign = campaign
         self.stats = SimulationStats()
 
     def run(self, stimulus: Stimulus, faults: "FaultList") -> "FaultSimResult":
         """Run the configured campaign over ``faults``; see :func:`run_multiprocess`."""
-        result = run_multiprocess(
-            self.design,
-            stimulus,
-            faults,
-            workers=self.workers,
-            width=self.width,
-            early_exit=self.early_exit,
-            spec=self.spec,
-            oversubscribe=self.oversubscribe,
-            label=self.name,
-            on_progress=self.on_progress,
-            progress_interval=self.progress_interval,
-            cross_drop=self.cross_drop,
-            drop_stride=self.drop_stride,
-            resume_from=self.resume_from,
-            shared_verdicts=self.shared_verdicts,
-            salvage=self.salvage,
-            retries=self.retries,
-            chunk_timeout=self.chunk_timeout,
-            checkpoint=self.checkpoint,
-            checkpoint_interval=self.checkpoint_interval,
-            chaos=self.chaos,
-            degrade=self.degrade,
-            cache=self.cache,
-            cache_mode=self.cache_mode,
-        )
+        result = run_multiprocess(self.design, stimulus, faults, **self.campaign)
         self.stats = result.stats
         return result
 
 
 __all__ = [
-    "CRASH_ENV_VAR",
     "CampaignProgress",
     "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_DROP_STRIDE",

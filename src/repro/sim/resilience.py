@@ -67,9 +67,9 @@ WATCHDOG_MIN_DEADLINE = 10.0
 #: watchdog checks, backoff requeues and checkpoint ticks.
 POLL_INTERVAL = 0.25
 
-#: What a worker chunk task resolves to: (detections by fault name,
-#: simulated cycles, chunk wall-time seconds).
-ChunkPayload = Tuple[Dict[str, int], int, float]
+#: What a worker chunk task resolves to: (detection cycles by global fault
+#: index, simulated cycles, chunk wall-time seconds).
+ChunkPayload = Tuple[Dict[int, int], int, float]
 
 
 def require_at_least(name: str, value, minimum) -> None:
@@ -236,7 +236,7 @@ class ChunkSupervisor:
         submit: Callable[[object, ChunkState], Future],
         run_inline: Callable[[ChunkState], ChunkPayload],
         chunk_proven: Callable[[ChunkState], bool],
-        on_complete: Callable[[ChunkState, Dict[str, int], int], None],
+        on_complete: Callable[[ChunkState, Dict[int, int], int], None],
         on_tick: Callable[[], None],
         chunk_timeout: Optional[float] = None,
         degrade: bool = True,

@@ -1,12 +1,15 @@
 """The shared-memory verdict plane: zero-copy fault verdicts across processes.
 
-:func:`repro.sim.parallel.run_multiprocess` used to learn its verdicts only at
-the very end of a campaign, as pickled per-chunk ``name -> cycle`` dicts.  The
-verdict plane replaces that with one :mod:`multiprocessing.shared_memory`
+Every :func:`repro.sim.parallel.run_multiprocess` campaign keeps its verdicts
+in one plane.  Normally that is a :mod:`multiprocessing.shared_memory`
 segment every process maps: workers write each detection the moment their
 observation drops the lane, and the parent reads the same bytes zero-copy —
 for live progress streaming, for cross-chunk fault dropping, and for salvaging
-partial verdicts when a worker dies mid-campaign.
+partial verdicts when a worker dies mid-campaign.  Where POSIX shared memory
+is unavailable, :meth:`VerdictPlane.local` gives the same table in private
+parent memory: workers cannot attach, so the parent marks each completed
+chunk's returned detections instead, and only streaming granularity and
+cross-chunk dropping degrade.
 
 Wire format
 -----------
@@ -83,6 +86,16 @@ def _segment_size(n_faults: int) -> int:
     return _cycles_offset(n_faults) + 4 * n_faults
 
 
+def _blank_image(n_faults: int) -> bytearray:
+    """A zeroed segment image for ``n_faults`` verdicts, header stamped."""
+    if n_faults < 1:
+        raise SimulationError("a verdict plane needs at least one fault")
+    image = bytearray(_segment_size(n_faults))
+    image[0:4] = MAGIC
+    struct.pack_into("<I", image, 4, n_faults)
+    return image
+
+
 def _open_untracked(name: str) -> shared_memory.SharedMemory:
     """Map an existing segment WITHOUT registering it for cleanup.
 
@@ -128,18 +141,19 @@ def campaign_fingerprint(design: "Design", faults: "FaultList") -> str:
 
 
 class _LocalSegment:
-    """A private, file-backed stand-in for a ``SharedMemory`` segment.
+    """A private, process-local stand-in for a ``SharedMemory`` segment.
 
     :meth:`VerdictPlane.load` rehydrates a checkpoint into plain process
     memory — there is nothing to share yet, and creating a real segment just
-    to read a file would leak on every early error path.  This shim exposes
-    the three members :class:`VerdictPlane` touches (``buf``, ``name``,
-    ``close``); ``unlink`` exists because a loaded plane is never ``owner``
-    but defensive code may still call it.
+    to read a file would leak on every early error path — and
+    :meth:`VerdictPlane.local` backs campaigns where shared memory is
+    unavailable.  This shim exposes the three members :class:`VerdictPlane`
+    touches (``buf``, ``name``, ``close``); ``unlink`` is a no-op so callers
+    can tear every plane down the same way.
     """
 
     def __init__(self, data: bytearray, name: str) -> None:
-        """Wrap the checkpoint's segment image."""
+        """Wrap a segment image."""
         self._data = data
         self.buf = memoryview(data)
         self.name = name
@@ -182,18 +196,25 @@ class VerdictPlane:
 
         Raises ``OSError`` where POSIX shared memory is unavailable (e.g. a
         container without ``/dev/shm``); :func:`repro.sim.parallel.run_multiprocess`
-        catches that and falls back to the pickled-dict result path.
+        catches that and uses a :meth:`local` plane instead.
         """
-        if n_faults < 1:
-            raise SimulationError("a verdict plane needs at least one fault")
-        size = _segment_size(n_faults)
-        shm = shared_memory.SharedMemory(create=True, size=size)
+        image = _blank_image(n_faults)
+        shm = shared_memory.SharedMemory(create=True, size=len(image))
         # shm segments are zero-filled on every platform CI covers, but the
         # spec does not promise it — and a stale flag IS a wrong verdict
-        shm.buf[:size] = b"\x00" * size
-        shm.buf[0:4] = MAGIC
-        struct.pack_into("<I", shm.buf, 4, n_faults)
+        shm.buf[: len(image)] = image
         return cls(shm, n_faults, owner=True)
+
+    @classmethod
+    def local(cls, n_faults: int) -> "VerdictPlane":
+        """A zeroed plane in private process memory that no worker can attach.
+
+        The fallback where :meth:`create` raises ``OSError``: reads, marks,
+        checkpoints and verdicts work exactly as on a shared plane, but only
+        this process writes it (see :attr:`shared`).
+        """
+        segment = _LocalSegment(_blank_image(n_faults), name="local")
+        return cls(segment, n_faults, owner=False)  # type: ignore[arg-type]
 
     @classmethod
     def attach(cls, name: str) -> "VerdictPlane":
@@ -306,6 +327,11 @@ class VerdictPlane:
     def name(self) -> str:
         """The segment name workers attach by."""
         return self._shm.name
+
+    @property
+    def shared(self) -> bool:
+        """Whether other processes can :meth:`attach` to this plane."""
+        return not isinstance(self._shm, _LocalSegment)
 
     def close(self) -> None:
         """Release this process's mapping (the segment itself survives)."""

@@ -11,8 +11,9 @@ the structured injection plans of :mod:`repro.sim.chaos`:
   inline in the parent;
 * a parent **killed mid-campaign** resumes from its disk checkpoint and
   simulates strictly fewer chunks the second time;
-* the plan grammar itself round-trips, picks up the environment, and honors
-  the legacy ``REPRO_PARALLEL_INJECT_CRASH`` hook.
+* the plan grammar itself round-trips and picks up the environment;
+* without POSIX shared memory the process-local plane still retries,
+  checkpoints and resumes with exact verdicts.
 
 Chunk idempotency is the invariant under test everywhere: no matter which
 failure fires, re-running work may only rewrite the same verdict bytes.
@@ -32,12 +33,7 @@ from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
 from repro.errors import ChaosError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
-from repro.sim.chaos import (
-    CHAOS_ENV_VAR,
-    LEGACY_CRASH_ENV_VAR,
-    ChaosPlan,
-    ChaosRule,
-)
+from repro.sim.chaos import CHAOS_ENV_VAR, ChaosPlan, ChaosRule
 from repro.sim.parallel import run_multiprocess
 from repro.sim.resilience import RetryPolicy
 from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
@@ -112,14 +108,10 @@ def test_plan_pickles_across_the_process_boundary():
 
 def test_environment_resolution(monkeypatch):
     monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ENV_VAR, raising=False)
     assert ChaosPlan.from_environment() is None
-    monkeypatch.setenv(LEGACY_CRASH_ENV_VAR, "8")
-    legacy = ChaosPlan.from_environment()
-    assert legacy.rules[0].kind == "crash" and legacy.rules[0].base == 8
-    monkeypatch.setenv(LEGACY_CRASH_ENV_VAR, "nonsense")  # historical: like "0"
-    assert ChaosPlan.from_environment().rules[0].base == 0
-    # the structured variable wins over the legacy one
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=8")
+    crash = ChaosPlan.from_environment()
+    assert crash.rules[0].kind == "crash" and crash.rules[0].base == 8
     monkeypatch.setenv(CHAOS_ENV_VAR, "slow:seconds=1")
     assert ChaosPlan.from_environment().rules[0].kind == "slow"
 
@@ -207,24 +199,37 @@ def test_raise_in_chunk_retries_without_a_pool_rebuild():
     assert dict(result.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_legacy_pickled_dict_path_retries_too():
-    """shared_verdicts=False retries correctly from merged dicts: a failed
-    chunk streams nothing (there is no plane), so its retry re-returns the
-    complete verdict dict and the disjointness merge still holds."""
+def _no_shared_memory(monkeypatch):
+    """Make VerdictPlane.create fail as it does without POSIX shared memory."""
+
+    def unavailable(cls, n_faults):
+        raise OSError("no /dev/shm here")
+
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(unavailable))
+
+
+def test_process_local_plane_retries_too(monkeypatch):
+    """Without shared memory a failed chunk marks nothing (workers cannot
+    attach), so its retry returns the complete verdict dict, the parent marks
+    it into the local plane, and the disjointness merge still holds."""
+    _no_shared_memory(monkeypatch)
     design, stimulus, faults, reference = _workload("apb")
+    events = []
     result = run_multiprocess(
         design,
         stimulus,
         faults,
         workers=2,
         width=4,
-        shared_verdicts=False,
+        on_progress=events.append,
         chaos="raise:chunk=1,until_attempt=1",
         retries=FAST_RETRIES,
     )
     assert not result.partial
     assert result.stats.chunk_retries >= 1
     assert dict(result.coverage.detections) == dict(reference.coverage.detections)
+    assert events[-1].final
+    assert events[-1].detected == len(reference.coverage.detections)
 
 
 def test_progress_events_stay_ordered_under_retries():
@@ -362,6 +367,40 @@ def test_salvaged_campaign_checkpoint_seeds_the_retry(tmp_path):
     )
     assert partial.partial
     assert os.path.exists(path)
+    healed = run_multiprocess(
+        design, stimulus, faults, workers=2, width=4, checkpoint=path
+    )
+    assert not healed.partial
+    assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
+
+
+def test_checkpoint_works_without_shared_memory(monkeypatch, tmp_path):
+    """The process-local plane checkpoints like a shared one: a salvaged
+    campaign leaves a snapshot, and the rerun resumes from it to exact
+    verdicts."""
+    _no_shared_memory(monkeypatch)
+    design, stimulus, faults, reference = _workload("apb")
+    path = str(tmp_path / "local.ckpt")
+    partial = run_multiprocess(
+        design,
+        stimulus,
+        faults,
+        workers=2,
+        width=4,
+        checkpoint=path,
+        chaos="crash:base=4",  # chunks past base 4 always crash
+        retries=0,
+        degrade=False,
+    )
+    assert partial.partial
+    assert partial.stats.checkpoints_written >= 1
+    snapshot = VerdictPlane.load(
+        path, expect_fingerprint=campaign_fingerprint(design, faults)
+    )
+    try:
+        assert snapshot.named_detections(faults) == dict(partial.coverage.detections)
+    finally:
+        snapshot.close()
     healed = run_multiprocess(
         design, stimulus, faults, workers=2, width=4, checkpoint=path
     )

@@ -21,7 +21,7 @@ from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import CodegenEngine, design_fingerprint, generate_source
 from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel, run_sharded
+from repro.sim.kernel import SimulationKernel
 from repro.sim.stimulus import RandomStimulus, VectorStimulus
 
 #: Cycles per benchmark for the corpus sweep — enough for every design to
@@ -243,20 +243,6 @@ def test_serial_baseline_engine_override():
     reference = IFsimSimulator(design).run(stimulus, faults)
     swapped = VFsimSimulator(design, engine="codegen").run(stimulus, faults)
     assert swapped.coverage.same_verdicts(reference.coverage)
-
-
-def test_run_sharded_with_codegen_serial_factory():
-    design, stimulus, _ = _workload("alu")
-    faults = sample_faults(generate_stuck_at_faults(design), 12, seed=13)
-    single = IFsimSimulator(design).run(stimulus, faults)
-    sharded = run_sharded(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        simulator_factory=lambda d: IFsimSimulator(d, engine="codegen"),
-    )
-    assert sharded.coverage.same_verdicts(single.coverage)
 
 
 # ----------------------------------------------------------------- debug seams

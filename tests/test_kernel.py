@@ -6,7 +6,9 @@ from repro.core.framework import EraserSimulator
 from repro.fault.faultlist import generate_stuck_at_faults
 from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import CycleDriver, SimulationKernel, partition_faults, run_sharded
+from repro.fault.faultlist import FaultList
+from repro.fault.model import StuckAtFault
+from repro.sim.kernel import CycleDriver, SimulationKernel
 
 
 def test_every_simulator_implements_the_kernel_protocol(counter_design):
@@ -59,40 +61,23 @@ def test_cycle_driver_gives_identical_traces_on_both_engines(
     assert event == compiled
 
 
-def test_partition_faults_covers_every_fault_once(counter_design):
+def test_eraser_verdicts_are_partition_invariant(counter_design, counter_stimulus):
+    """Stuck-at faults never interact: the union of independent
+    EraserSimulator runs over three slices of a fault list equals one full
+    run, which in turn agrees with the serial IFsim reference."""
     faults = generate_stuck_at_faults(counter_design)
-    shards = partition_faults(faults, 3)
-    assert len(shards) == 3
-    names = [f.name for shard in shards for f in shard]
-    assert sorted(names) == sorted(f.name for f in faults)
-    # fault ids are re-assigned densely inside each shard
-    for shard in shards:
-        assert [f.fault_id for f in shard] == list(range(len(shard)))
-
-
-def test_partition_faults_never_produces_empty_shards(counter_design):
-    faults = generate_stuck_at_faults(counter_design)
-    assert len(partition_faults(faults, 10_000)) == len(faults)
-
-
-def test_run_sharded_matches_single_run(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(counter_design, counter_stimulus, faults, workers=3)
-    assert sharded.coverage.same_verdicts(single.coverage)
-    assert sharded.coverage.total_faults == len(faults)
-    assert sharded.stats.cycles == 3 * single.stats.cycles
-
-
-def test_run_sharded_matches_serial_reference(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
+    full = EraserSimulator(counter_design).run(counter_stimulus, faults)
+    union = {}
+    for index in range(3):
+        # fresh fault objects: each slice gets its own dense fault ids
+        piece = FaultList(
+            [StuckAtFault(f.signal, f.bit, f.value) for f in list(faults)[index::3]]
+        )
+        detections = EraserSimulator(counter_design).run(
+            counter_stimulus, piece
+        ).coverage.detections
+        assert not union.keys() & detections.keys()
+        union.update(detections)
+    assert union == full.coverage.detections
     serial = IFsimSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(counter_design, counter_stimulus, faults, workers=4)
-    assert sharded.coverage.same_verdicts(serial.coverage)
-
-
-def test_run_sharded_single_worker_falls_through(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    result = run_sharded(counter_design, counter_stimulus, faults, workers=1)
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    assert result.coverage.same_verdicts(single.coverage)
+    assert full.coverage.same_verdicts(serial.coverage)

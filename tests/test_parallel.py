@@ -4,12 +4,13 @@ The strongest check mirrors the packed suite: on every one of the ten
 benchmark designs, the process executor's per-fault verdicts *and* detection
 cycles must exactly match the serial codegen baseline — chunking over worker
 processes may only change wall-clock, never a verdict.  The remaining tests
-pin the seams this PR adds: :class:`WorkloadSpec` pickling in all three modes,
-word-aligned chunking, the ``executor=`` dispatcher in ``run_sharded`` (with
-its no-pool short-circuits), the serial baselines' distributed loops, and the
-verdict-plane campaign seams: cross-chunk dropping (parity with dropping on
-AND off), streaming progress event ordering, resume seeding, the legacy
-pickled-dict fallback, partial-verdict salvage when a worker dies, and
+pin the campaign seams: :class:`WorkloadSpec` pickling in all three modes,
+word-aligned chunking and the pool-size cap, the ``workers=1`` no-pool
+short-circuit, every executor reaching the one runner (serial baselines,
+``ExperimentWorkload.run_faults``, ``engine="auto"``), and the verdict-plane
+seams: cross-chunk dropping (parity with dropping on AND off), streaming
+progress event ordering, resume seeding, the process-local plane used where
+shared memory is unavailable, partial-verdict salvage when a worker dies, and
 shared-memory segment cleanup after both clean and crashed campaigns.
 """
 
@@ -25,11 +26,11 @@ from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.harness.experiments import prepare_workload
+from repro.sim.chaos import CHAOS_ENV_VAR
 from repro.sim.codegen import design_fingerprint
-from repro.sim.kernel import EXECUTORS, run_sharded
+from repro.sim.kernel import EXECUTORS
 from repro.sim.packed import pack_fault_words
 from repro.sim.parallel import (
-    CRASH_ENV_VAR,
     ParallelFaultSimulator,
     WorkloadSpec,
     chunk_fault_sites,
@@ -304,8 +305,19 @@ def test_mis_sized_external_plane_is_rejected():
             run_multiprocess(design, stimulus, faults, workers=1, plane=plane)
 
 
-def test_legacy_pickled_merge_fallback_is_exact():
-    """shared_verdicts=False (the no-/dev/shm path) must not change verdicts."""
+def _no_shared_memory(monkeypatch):
+    """Make VerdictPlane.create fail as it does without POSIX shared memory."""
+
+    def unavailable(cls, n_faults):
+        raise OSError("no /dev/shm here")
+
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(unavailable))
+
+
+def test_process_local_plane_without_shared_memory_is_exact(monkeypatch):
+    """Without /dev/shm the parent marks returned chunks into a local plane:
+    verdicts, cycles and the final progress event must not change."""
+    _no_shared_memory(monkeypatch)
     design, stimulus, faults, reference = _workload("apb")
     events = []
     result = run_multiprocess(
@@ -314,12 +326,13 @@ def test_legacy_pickled_merge_fallback_is_exact():
         faults,
         workers=2,
         width=8,
-        shared_verdicts=False,
         on_progress=events.append,
     )
     assert result.coverage.detections == reference.coverage.detections
+    assert not result.partial
     assert events[-1].final
     assert events[-1].detected == len(reference.coverage.detections)
+    assert events[-1].chunks_done == events[-1].chunks_total
 
 
 # ------------------------------------------------------------- crash recovery
@@ -330,7 +343,7 @@ def test_worker_crash_salvages_partial_verdicts(monkeypatch):
     design, stimulus, faults, reference = _workload("apb")
     # chunks at width 4 start at global indexes 0, 4, 8: the base-0 chunk
     # completes (the injector's drain pause gives it time), the rest crash
-    monkeypatch.setenv(CRASH_ENV_VAR, "4")
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=4")
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4, retries=0, degrade=False
     )
@@ -346,10 +359,10 @@ def test_worker_crash_salvages_partial_verdicts(monkeypatch):
 
 
 def test_worker_crash_self_heals_by_default(monkeypatch):
-    """The legacy crash hook no longer ends a default campaign: the poison
+    """An always-crashing chunk does not end a default campaign: the poison
     chunks are quarantined and finished inline, verdicts stay exact."""
     design, stimulus, faults, reference = _workload("apb")
-    monkeypatch.setenv(CRASH_ENV_VAR, "4")
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=4")
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4,
         retries=RetryPolicy(max_attempts=2, backoff=0.05),
@@ -363,7 +376,7 @@ def test_worker_crash_keeps_resume_seeds(monkeypatch):
     """Seeded verdicts survive a crash even if no chunk ever completes."""
     design, stimulus, faults, reference = _workload("apb")
     seeds = dict(list(reference.coverage.detections.items())[:2])
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")  # every chunk crashes
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=0")  # every chunk crashes
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4, resume_from=seeds,
         retries=0, degrade=False,
@@ -376,7 +389,7 @@ def test_worker_crash_keeps_resume_seeds(monkeypatch):
 def test_worker_crash_fail_fast_without_salvage(monkeypatch):
     """salvage=False restores the historical fail-fast error contract."""
     design, stimulus, faults, _ = _workload("apb")
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=0")
     with pytest.raises(SimulationError, match="worker process died"):
         run_multiprocess(
             design, stimulus, faults, workers=2, width=4, salvage=False,
@@ -413,7 +426,7 @@ def test_campaign_unlinks_its_segment(monkeypatch):
 
 def test_crashed_campaign_unlinks_its_segment(monkeypatch):
     """The finally-block unlink holds on the salvage path too."""
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=0")
     result, name = _run_and_capture_segment(
         monkeypatch, workers=2, width=4, retries=0, degrade=False
     )
@@ -433,71 +446,29 @@ def test_vector_runner_pooled_matches_serial():
     assert result.coverage.detections == reference.coverage.detections
 
 
-# ------------------------------------------------- the run_sharded dispatcher
-def test_run_sharded_serial_executor_never_builds_a_pool(
-    counter_design, counter_stimulus, monkeypatch
-):
-    import repro.sim.kernel as kernel_mod
+# ---------------------------------------------------------------- pool sizing
+def test_pool_is_capped_at_the_work_units(monkeypatch):
+    """workers only bounds the pool: 10 faults at width 8 are two words, so
+    asking for eight workers builds a two-process pool."""
+    import repro.sim.parallel as parallel_mod
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ThreadPoolExecutor constructed for executor='serial'")
+    seen = []
+    real_pool = parallel_mod.ProcessPoolExecutor
 
-    monkeypatch.setattr(kernel_mod, "ThreadPoolExecutor", forbidden)
-    faults = generate_stuck_at_faults(counter_design)
-    from repro.core.framework import EraserSimulator
+    class SpyPool(real_pool):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(
-        counter_design, counter_stimulus, faults, workers=3, executor="serial"
-    )
-    assert sharded.coverage.same_verdicts(single.coverage)
-
-
-def test_run_sharded_single_slot_short_circuits_inline(
-    counter_design, counter_stimulus, monkeypatch
-):
-    """max_workers=1 resolves to one pool slot: run inline, skip the pool."""
-    import repro.sim.kernel as kernel_mod
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ThreadPoolExecutor constructed for a one-slot pool")
-
-    monkeypatch.setattr(kernel_mod, "ThreadPoolExecutor", forbidden)
-    faults = generate_stuck_at_faults(counter_design)
-    result = run_sharded(
-        counter_design, counter_stimulus, faults, workers=4, max_workers=1
-    )
-    assert result.coverage.total_faults == len(faults)
-
-
-def test_run_sharded_process_executor_matches():
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", SpyPool)
     design, stimulus, faults, reference = _workload("apb")
-    result = run_sharded(
-        design, stimulus, faults, workers=2, word_size=8, executor="process"
-    )
-    assert result.coverage.same_verdicts(reference.coverage)
-
-
-def test_run_sharded_rejects_unknown_executor(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(SimulationError, match="unknown executor"):
-        run_sharded(counter_design, counter_stimulus, faults, executor="gpu")
-
-
-def test_run_sharded_process_rejects_factory(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(SimulationError, match="process boundary"):
-        run_sharded(
-            counter_design,
-            counter_stimulus,
-            faults,
-            executor="process",
-            simulator_factory=lambda d: None,
-        )
+    result = run_multiprocess(design, stimulus, faults, workers=8, width=8)
+    assert seen == [2]
+    assert result.coverage.detections == reference.coverage.detections
 
 
 # ------------------------------------------------- serial-baseline executors
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_serial_baseline_distributed_executors(executor):
     design, stimulus, faults, reference = _workload("apb")
     simulator = SerialFaultSimulator(
@@ -522,7 +493,7 @@ def test_serial_baseline_process_needs_an_engine(counter_design, counter_stimulu
 def test_executor_registry_is_consistent():
     from repro.api import EXECUTORS as api_executors
 
-    assert EXECUTORS == ("serial", "thread", "process")
+    assert EXECUTORS == ("serial", "process")
     assert api_executors is EXECUTORS
 
 
@@ -541,3 +512,45 @@ def test_experiment_workload_process_campaign():
     spec = pickle.loads(pickle.dumps(workload.workload_spec()))
     rebuilt, _ = spec.build()
     assert design_fingerprint(rebuilt) == design_fingerprint(workload.design)
+
+
+def test_serial_executor_runs_inline_without_a_pool(monkeypatch):
+    """executor="serial" is the one runner at workers=1: no pool is built."""
+    import repro.sim.parallel as parallel_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ProcessPoolExecutor constructed for executor='serial'")
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", forbidden)
+    workload = prepare_workload(
+        "alu", cycles=PARITY_CYCLES, fault_count=PARITY_FAULTS, workers=4
+    )
+    reference = SerialFaultSimulator(workload.design, engine="codegen").run(
+        workload.stimulus, workload.faults
+    )
+    result = workload.run_faults(width=8)
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.chunks_simulated == 1
+
+
+@pytest.mark.parametrize("fault_count", [PARITY_FAULTS, 300])
+def test_auto_engine_is_the_same_substrate_on_every_executor(fault_count):
+    """engine="auto" resolves once, in the runner: the serial and process
+    executors report the same substrate and match the serial reference (10
+    faults resolve to packed words, 300 to vector lanes where NumPy is
+    installed)."""
+    workload = prepare_workload(
+        "sha256_c2v",
+        cycles=PARITY_CYCLES,
+        fault_count=fault_count,
+        engine="auto",
+        workers=2,
+    )
+    reference = SerialFaultSimulator(workload.design, engine="codegen").run(
+        workload.stimulus, workload.faults
+    )
+    serial = workload.run_faults()
+    process = workload._replace(executor="process").run_faults()
+    assert serial.simulator == process.simulator
+    assert serial.coverage.detections == reference.coverage.detections
+    assert process.coverage.detections == reference.coverage.detections

@@ -416,6 +416,31 @@ def test_resume_from_composes_with_the_cache(tmp_path):
         )
 
 
+def test_auto_runner_label_is_the_same_cold_half_warm_and_warm(tmp_path):
+    """runner="auto" resolves once, against the full fault list, before the
+    cache lookup: every replay reports the substrate the cold run used."""
+    design, stimulus, _, _ = _workload("alu")
+    faults = generate_stuck_at_faults(design)
+    root = str(tmp_path / "results")
+    half = sample_faults(faults, len(faults) // 2, seed=3)
+    run_multiprocess(design, stimulus, half, workers=1, runner=("auto", {}), cache=root)
+    cold = run_multiprocess(
+        design, stimulus, faults, workers=1, runner=("auto", {}), cache_mode="off"
+    )
+    half_warm = run_multiprocess(
+        design, stimulus, faults, workers=1, runner=("auto", {}), cache=root
+    )
+    warm = run_multiprocess(
+        design, stimulus, faults, workers=1, runner=("auto", {}), cache=root
+    )
+    assert half_warm.stats.cache_hits == len(half)
+    assert warm.stats.chunks_simulated == 0
+    assert cold.simulator == half_warm.simulator == warm.simulator
+    assert cold.simulator.endswith("PPSFP-MP")
+    assert half_warm.coverage.detections == cold.coverage.detections
+    assert warm.coverage.detections == cold.coverage.detections
+
+
 # ------------------------------------------------------------------- plumbing
 def test_parallel_fault_simulator_forwards_cache(tmp_path):
     design, stimulus, faults, reference = _workload("alu")

@@ -16,7 +16,6 @@ from repro.core.framework import EraserSimulator
 from repro.errors import SimulationError, UnknownOptionError
 from repro.fault.faultlist import generate_stuck_at_faults
 from repro.harness.experiments import prepare_workload
-from repro.sim.kernel import run_sharded
 from repro.sim.parallel import make_campaign_runner
 
 
@@ -45,12 +44,20 @@ def test_prepare_workload_rejects_unknown_engine():
         prepare_workload("alu", engine="turbo")
 
 
-def test_run_sharded_rejects_unknown_executor(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(ValueError, match="process.*serial.*thread"):
-        run_sharded(
-            counter_design, counter_stimulus, faults, executor="quantum"
-        )
+def test_thread_executor_is_rejected_everywhere(counter_design, capsys):
+    """The GIL-bound thread executor is gone: every seam names what is left."""
+    from repro.harness import fig6
+    from repro.harness.__main__ import build_parser
+
+    with pytest.raises(UnknownOptionError, match=r"\['process', 'serial'\]"):
+        SerialFaultSimulator(counter_design, executor="thread")
+    with pytest.raises(UnknownOptionError, match=r"\['process', 'serial'\]"):
+        prepare_workload("alu", executor="thread")
+    with pytest.raises(UnknownOptionError, match=r"\['process', 'serial'\]"):
+        fig6.run(["alu"], executor="thread", print_output=False)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig6", "--executor", "thread"])
+    assert "'serial', 'process'" in capsys.readouterr().err
 
 
 def test_serial_baseline_rejects_unknown_executor(counter_design):
@@ -119,6 +126,17 @@ def test_campaign_knobs_validated_up_front(
         _campaign(counter_design, counter_stimulus, **{knob: value})
 
 
+def test_parallel_simulator_binds_its_knobs_at_construction(counter_design):
+    """ParallelFaultSimulator forwards run_multiprocess keywords verbatim, so
+    a misspelt knob must fail when the simulator is built, not at run time."""
+    from repro.sim.parallel import ParallelFaultSimulator
+
+    with pytest.raises(TypeError, match="retires"):
+        ParallelFaultSimulator(counter_design, retires=3)
+    with pytest.raises(SimulationError, match="width"):
+        ParallelFaultSimulator(counter_design, width=0)
+
+
 def test_retry_policy_validates_its_shape():
     from repro.sim.resilience import RetryPolicy
 
@@ -149,16 +167,6 @@ def test_set_campaign_defaults_rejects_unknown_knob():
 
     with pytest.raises(ValueError, match="retries"):
         set_campaign_defaults(retry_count=3)
-
-
-def test_checkpoint_requires_the_verdict_plane(counter_design, counter_stimulus):
-    with pytest.raises(SimulationError, match="checkpoint"):
-        _campaign(
-            counter_design,
-            counter_stimulus,
-            checkpoint="unused.ckpt",
-            shared_verdicts=False,
-        )
 
 
 def test_campaign_rejects_unknown_cache_mode(counter_design, counter_stimulus):

@@ -30,14 +30,10 @@ from repro.sim.codegen import (
     vector_planes,
 )
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel, run_sharded
+from repro.sim.kernel import SimulationKernel
 from repro.sim.packed import PackedCodegenSimulator
 from repro.sim.stimulus import RandomStimulus
-from repro.sim.vector import (
-    VectorCodegenEngine,
-    VectorFaultSimulator,
-    make_vector_factory,
-)
+from repro.sim.vector import VectorCodegenEngine, VectorFaultSimulator
 
 #: Cycles per benchmark for the corpus parity slice.
 PARITY_CYCLES = 40
@@ -335,20 +331,7 @@ def test_vector_rejects_wide_memory_words():
         generate_vector_source(design)
 
 
-# ------------------------------------------------------------------- sharding
-def test_run_sharded_with_vector_factory():
-    design, stimulus, faults, serial, _ = _workload("alu")
-    sharded = run_sharded(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        simulator_factory=make_vector_factory(width=4),
-        word_size=4,
-    )
-    assert sharded.coverage.same_verdicts(serial.coverage)
-
-
+# ---------------------------------------------------------------- campaigns
 def test_multiprocess_vector_runner_inline():
     """The ("vector", ...) runner spec wires up through run_multiprocess
     (single-worker short-circuit: same code path, no pool startup cost)."""
